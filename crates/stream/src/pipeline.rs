@@ -316,8 +316,9 @@ pub struct StreamPipeline {
     obs: Obs,
     ticks: u64,
     flushes: u64,
-    published_late: u64,
-    published_ooo: u64,
+    /// Monotone tallies already added to their `_total` counters, in
+    /// `publish_metrics` order.
+    published: [u64; 6],
     rollup: EnergyRollup,
 }
 
@@ -350,8 +351,7 @@ impl StreamPipeline {
             obs: sustain_obs::handle(),
             ticks: 0,
             flushes: 0,
-            published_late: 0,
-            published_ooo: 0,
+            published: [0; 6],
             rollup: EnergyRollup::new(),
         }
     }
@@ -556,25 +556,36 @@ impl StreamPipeline {
         self.obs
             .gauge("stream_buffered_samples")
             .set(self.buffered() as f64);
-        let late: u64 = self.shards.iter().map(|s| s.reorder.late()).sum();
-        let ooo: u64 = self.shards.iter().map(|s| s.emitted_out_of_order).sum();
-        let drops: u64 = self.shards.iter().map(|s| s.queue.evicted()).sum();
-        let blocked: u64 = self.shards.iter().map(|s| s.queue.blocked()).sum();
-        let retries: u64 = self.sources.iter().map(|s| s.retries()).sum();
-        let lost: u64 = self.sources.iter().map(|s| s.lost()).sum();
-        self.obs
-            .counter("stream_late_samples_total")
-            .add((late - self.published_late) as f64);
-        self.obs
-            .counter("stream_out_of_order_total")
-            .add((ooo - self.published_ooo) as f64);
-        self.published_late = late;
-        self.published_ooo = ooo;
-        // Queue/source tallies are monotone snapshots; gauges carry them.
-        self.obs.gauge("stream_queue_drops").set(drops as f64);
-        self.obs.gauge("stream_blocked_offers").set(blocked as f64);
-        self.obs.gauge("stream_retries").set(retries as f64);
-        self.obs.gauge("stream_lost_reads").set(lost as f64);
+        let totals: [(&'static str, u64); 6] = [
+            (
+                "stream_late_samples_total",
+                self.shards.iter().map(|s| s.reorder.late()).sum(),
+            ),
+            (
+                "stream_out_of_order_total",
+                self.shards.iter().map(|s| s.emitted_out_of_order).sum(),
+            ),
+            (
+                "stream_queue_drops_total",
+                self.shards.iter().map(|s| s.queue.evicted()).sum(),
+            ),
+            (
+                "stream_blocked_offers_total",
+                self.shards.iter().map(|s| s.queue.blocked()).sum(),
+            ),
+            (
+                "stream_retries_total",
+                self.sources.iter().map(|s| s.retries()).sum(),
+            ),
+            (
+                "stream_lost_reads_total",
+                self.sources.iter().map(|s| s.lost()).sum(),
+            ),
+        ];
+        for ((name, total), published) in totals.into_iter().zip(&mut self.published) {
+            self.obs.counter(name).add((total - *published) as f64);
+            *published = total;
+        }
     }
 
     /// Finishes the stream: drains every shard completely (watermark
@@ -823,6 +834,50 @@ mod tests {
             e,
             sustain_obs::EventRecord::Instant { name, .. } if *name == "stream.finished"
         )));
+    }
+
+    #[test]
+    fn exported_totals_match_degraded_report_tallies() {
+        for backpressure in [
+            BackpressurePolicy::BlockProducer,
+            BackpressurePolicy::DropOldest,
+        ] {
+            let obs = sustain_obs::ObsConfig::enabled().build();
+            let config = StreamConfig {
+                shards: 2,
+                queue_capacity: 4,
+                reorder_capacity: 8,
+                backpressure,
+                flush_every: 8,
+                ..StreamConfig::default()
+            };
+            let mut pipe = StreamPipeline::new(config).with_obs(&obs);
+            for i in 0..6 {
+                pipe.add_source(&format!("host{i}"), &FaultPlan::degraded().with_seed(41));
+            }
+            pipe.run(2_000, constant_truth);
+            let report = pipe.finish();
+            let prom = obs.export_prometheus();
+            let faults = &report.quality.faults;
+            for (name, tally) in [
+                ("stream_late_samples_total", faults.late_arrivals),
+                ("stream_queue_drops_total", faults.queue_drops),
+                ("stream_blocked_offers_total", report.blocked_offers),
+                ("stream_retries_total", report.retries),
+                ("stream_lost_reads_total", report.lost_reads),
+            ] {
+                assert!(
+                    prom.contains(&format!("# TYPE {name} counter\n{name} {tally}.0\n")),
+                    "{backpressure:?}: {name} should export as a counter of {tally}:\n{prom}"
+                );
+            }
+            let (drops, blocked) = (faults.queue_drops, report.blocked_offers);
+            match backpressure {
+                BackpressurePolicy::BlockProducer => assert!(blocked > 0, "no blocked offers"),
+                BackpressurePolicy::DropOldest => assert!(drops > 0, "no queue drops"),
+            }
+            assert!(report.retries > 0 && report.lost_reads > 0);
+        }
     }
 
     #[test]
