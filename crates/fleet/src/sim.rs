@@ -14,8 +14,8 @@
 //! and an `IntensityTick` that rolls the hour's energy into the carbon
 //! accounts and schedules the next hour. Stable `(timestamp, seq)` ordering
 //! makes the event train replay the retired hour-stepped loop draw for
-//! draw, which [`FleetSim::run_reference`] (the loop, kept verbatim) and
-//! the `des_equivalence` differential suite pin down byte-for-byte.
+//! draw; the `des_equivalence` differential suite at the workspace root
+//! keeps that loop as its oracle and pins the two down byte-for-byte.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -34,10 +34,10 @@ use sustain_telemetry::faults::{FaultInjector, ImputationPolicy};
 use sustain_telemetry::meter::FaultTolerantIntegrator;
 use sustain_workload::training::JobGenerator;
 
-use crate::autoscale::{AutoScaler, DiurnalLoad};
 use crate::chaos::ChaosConfig;
 use crate::cluster::Cluster;
 use crate::datacenter::DataCenter;
+use crate::scheduler::IntensitySeries;
 use crate::utilization::UtilizationModel;
 
 /// Seconds per simulated hour — the event-time granularity of the hourly
@@ -142,10 +142,11 @@ pub struct ReplicaSummary {
 }
 
 impl ReplicaSummary {
-    /// Reduces replica reports (e.g. from [`FleetSim::run_replicas`]).
+    /// Reduces replica reports (e.g. from
+    /// [`FleetSim::run_replicas_with_chaos`]).
     /// Returns `None` for an empty batch.
     // lint:allow(obs-coverage) pure in-memory fold over at most a few hundred
-    // replica reports; the producing run_replicas span already brackets it
+    // replica reports; the producing replica batch already brackets it
     pub fn from_reports(reports: &[FleetSimReport]) -> Option<ReplicaSummary> {
         let first = reports.first()?;
         let n = reports.len() as f64;
@@ -176,8 +177,8 @@ impl FleetSim {
     ///
     /// # Panics
     ///
-    /// Panics if `arrivals_per_day` is not positive or the horizon is not
-    /// positive.
+    /// Panics if `arrivals_per_day` or the horizon is not positive and
+    /// finite.
     pub fn new(
         cluster: Cluster,
         datacenter: DataCenter,
@@ -186,8 +187,14 @@ impl FleetSim {
         arrivals_per_day: f64,
         horizon: TimeSpan,
     ) -> FleetSim {
-        assert!(arrivals_per_day > 0.0, "arrival rate must be positive");
-        assert!(horizon.as_secs() > 0.0, "horizon must be positive");
+        assert!(
+            arrivals_per_day > 0.0 && arrivals_per_day.is_finite(),
+            "arrival rate must be positive and finite"
+        );
+        assert!(
+            horizon.as_secs() > 0.0 && horizon.as_secs().is_finite(),
+            "horizon must be positive and finite"
+        );
         FleetSim {
             cluster,
             datacenter,
@@ -210,44 +217,22 @@ impl FleetSim {
         self
     }
 
-    /// Attaches a `sustain-cache` handle: [`FleetSim::run_replicas`] and
-    /// [`FleetSim::run_replicas_with_chaos`] then serve unchanged replicas
-    /// content-addressed by (simulation config, chaos config, derived
-    /// seed). Like the obs handle, the cache is orthogonal to the
-    /// simulation itself — a cached replica report is byte-for-byte the
-    /// report a fresh run would produce — and is excluded from the
-    /// [`CacheKey`] encoding.
+    /// Attaches a `sustain-cache` handle: [`FleetSim::run_replicas_with_chaos`]
+    /// then serves unchanged replicas content-addressed by (simulation
+    /// config, chaos config, derived seed). Like the obs handle, the cache
+    /// is orthogonal to the simulation itself — a cached replica report is
+    /// byte-for-byte the report a fresh run would produce — and is excluded
+    /// from the [`CacheKey`] encoding.
     #[must_use]
     pub fn with_cache(mut self, cache: &Cache) -> FleetSim {
         self.cache = Some(cache.clone());
         self
     }
 
-    /// Runs the simulation under a *time-varying* grid intensity (e.g. from
-    /// [`crate::renewable::VariableIntensity`] or an
-    /// [`IntensitySeries`](crate::scheduler::IntensitySeries)): each hour's
-    /// energy is converted at that hour's intensity, which is how
-    /// carbon-aware operation is actually accounted.
-    pub fn run_with_intensity<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        series: &crate::scheduler::IntensitySeries,
-    ) -> FleetSimReport {
-        let (mut report, _, _) = self.run_event_driven(rng, Some(series), None, None);
-        report.operational_market = report.operational_location
-            * self
-                .datacenter
-                .account()
-                .renewable_matching()
-                .complement()
-                .value();
-        report
-    }
-
     /// Runs the simulation over the horizon, one event-driven hour at a
     /// time.
     pub fn run<R: Rng + ?Sized>(&self, rng: &mut R) -> FleetSimReport {
-        self.run_event_driven(rng, None, None, None).0
+        self.run_with_chaos(rng, &ChaosConfig::none())
     }
 
     /// Runs the simulation with a [`ChaosConfig`] injecting host crashes
@@ -255,40 +240,35 @@ impl FleetSim {
     /// GPU-hours are real extra energy and carbon), wear-out SDC re-runs,
     /// and telemetry faults on the fleet's power metering.
     ///
-    /// `ChaosConfig::none()` reproduces [`FleetSim::run`] exactly.
+    /// `ChaosConfig::none()` reproduces the undisturbed run exactly.
     pub fn run_with_chaos<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
         chaos: &ChaosConfig,
     ) -> FleetSimReport {
-        self.run_event_driven(rng, None, Some(chaos), None).0
+        self.simulate(rng, None, chaos, None)
     }
 
-    /// Chaos plus a time-varying intensity feed. Hours where the feed has a
-    /// gap fall back to the region's static average intensity and — because
-    /// renewable matching cannot be proven without the feed — are charged at
-    /// full location intensity in the market basis.
+    /// Chaos under a *time-varying* grid intensity (e.g. from
+    /// [`crate::renewable::VariableIntensity`] or an [`IntensitySeries`]):
+    /// each hour's energy is converted at that hour's intensity, which is
+    /// how carbon-aware operation is actually accounted. Hours where the
+    /// feed has a gap fall back to the region's static average intensity
+    /// and — because renewable matching cannot be proven without the feed —
+    /// are charged at full location intensity in the market basis. Pass
+    /// `ChaosConfig::none()` for a gap-free feed.
     pub fn run_with_chaos_and_intensity<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        series: &crate::scheduler::IntensitySeries,
+        series: &IntensitySeries,
         chaos: &ChaosConfig,
     ) -> FleetSimReport {
-        let (mut report, gap_co2, _) = self.run_event_driven(rng, Some(series), Some(chaos), None);
-        let matched = report.operational_location - gap_co2;
-        report.operational_market = matched
-            * self
-                .datacenter
-                .account()
-                .renewable_matching()
-                .complement()
-                .value()
-            + gap_co2;
-        report
+        self.simulate(rng, Some(series), chaos, None)
     }
 
-    /// Runs `n` independent Monte Carlo replicas of this simulation on
-    /// [`ParPool::current`], one whole-sim replica per task.
+    /// Runs `n` independent Monte Carlo replicas of
+    /// [`FleetSim::run_with_chaos`] on the current
+    /// [`ParPool`](sustain_par::ParPool), one whole-sim replica per task.
     ///
     /// Replica `i` is seeded with [`sustain_par::task_seed`]`(base_seed, i)`
     /// and reports are joined in replica order, so the result is
@@ -296,37 +276,18 @@ impl FleetSim {
     /// records through its task's forked obs handle, not the handle captured
     /// at construction — parallel replicas must not interleave their span
     /// streams. Reduce the reports with [`ReplicaSummary::from_reports`].
-    pub fn run_replicas(&self, n: usize, base_seed: u64) -> Vec<FleetSimReport> {
-        self.run_replicas_with(n, base_seed, None)
-    }
-
-    /// [`FleetSim::run_replicas`] with the chaos harness enabled — the
-    /// Monte Carlo view of crash/SDC recovery cost.
     pub fn run_replicas_with_chaos(
         &self,
         n: usize,
         base_seed: u64,
         chaos: &ChaosConfig,
     ) -> Vec<FleetSimReport> {
-        self.run_replicas_with(n, base_seed, Some(chaos))
-    }
-
-    fn run_replicas_with(
-        &self,
-        n: usize,
-        base_seed: u64,
-        chaos: Option<&ChaosConfig>,
-    ) -> Vec<FleetSimReport> {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         sustain_par::ParPool::current().map_seeded(n, base_seed, |_, seed| {
             let compute = || {
                 let replica = self.clone().with_obs(&sustain_obs::handle());
-                let mut rng = StdRng::seed_from_u64(seed);
-                match chaos {
-                    Some(chaos) => replica.run_with_chaos(&mut rng, chaos),
-                    None => replica.run(&mut rng),
-                }
+                replica.run_with_chaos(&mut StdRng::seed_from_u64(seed), chaos)
             };
             match &self.cache {
                 Some(cache) => cache.get_or_compute(
@@ -340,70 +301,6 @@ impl FleetSim {
                 None => compute(),
             }
         })
-    }
-
-    /// Runs the retired hour-stepped loop, kept verbatim as the executable
-    /// specification of the hourly-rollup adapter: for any seed, intensity
-    /// series, and chaos config, the event-driven [`FleetSim::run`] family
-    /// must reproduce this report byte-for-byte (see `tests/des_equivalence`
-    /// at the workspace root). Covers every public run flavour through the
-    /// optional arguments — `series` applies the market-basis gap formula
-    /// exactly as [`FleetSim::run_with_chaos_and_intensity`] does.
-    pub fn run_reference<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        series: Option<&crate::scheduler::IntensitySeries>,
-        chaos: Option<&ChaosConfig>,
-    ) -> FleetSimReport {
-        let (mut report, gap_co2) = self.run_hourly(rng, series, chaos);
-        if series.is_some() {
-            let matched = report.operational_location - gap_co2;
-            report.operational_market = matched
-                * self
-                    .datacenter
-                    .account()
-                    .renewable_matching()
-                    .complement()
-                    .value()
-                + gap_co2;
-        }
-        report
-    }
-
-    /// Runs the simulation with an [`AutoScaler`] evaluating a diurnal web
-    /// tier every `cadence_hours`, riding the same event queue as the fleet
-    /// events. Decisions observe the fleet as of the previous hour's rollup
-    /// (an `AutoscaleDecision` at an hour boundary is scheduled long before
-    /// that hour's own events, so its sequence number sorts it first) and
-    /// draw no randomness, so the returned [`FleetSimReport`] is
-    /// byte-identical to [`FleetSim::run`] under the same seed — the
-    /// [`AutoscaleOutcome`] only accounts the opportunistic capacity the
-    /// scaler would free for training (§III-C).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cadence_hours` is zero.
-    pub fn run_with_autoscale<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        scaler: &AutoScaler,
-        load: &DiurnalLoad,
-        cadence_hours: u64,
-    ) -> (FleetSimReport, AutoscaleOutcome) {
-        assert!(cadence_hours > 0, "autoscale cadence must be positive");
-        let (report, _, outcome) = self.run_event_driven_with(
-            rng,
-            None,
-            None,
-            Some((*scaler, *load, cadence_hours)),
-            None,
-        );
-        let outcome = outcome.unwrap_or(AutoscaleOutcome {
-            decisions: 0,
-            mean_freed_share: Fraction::ZERO,
-            opportunistic_gpu_hours: 0.0,
-        });
-        (report, outcome)
     }
 
     /// Runs with a *scripted* crash schedule instead of the Poisson crash
@@ -422,326 +319,45 @@ impl FleetSim {
         chaos: &ChaosConfig,
         crashes: &[(u64, usize)],
     ) -> FleetSimReport {
-        self.run_event_driven_with(rng, None, Some(chaos), None, Some(crashes))
-            .0
-    }
-
-    fn run_hourly<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        variable_intensity: Option<&crate::scheduler::IntensitySeries>,
-        chaos: Option<&ChaosConfig>,
-    ) -> (FleetSimReport, Co2e) {
-        let step = TimeSpan::from_hours(1.0);
-        let steps = self.horizon.as_hours().ceil() as usize;
-        let total_gpus = self.cluster.total_gpus() as f64;
-        // lint:allow(panic-discipline) documented panic on a non-positive arrival rate
-        let arrivals = Poisson::new(self.arrivals_per_day / 24.0).expect("positive arrival rate");
-
-        let mut queue: VecDeque<RunningJob> = VecDeque::new();
-        let mut running: Vec<RunningJob> = Vec::new();
-        let mut free_gpus = self.cluster.total_gpus();
-
-        let mut it_energy = Energy::ZERO;
-        let mut completed = 0u64;
-        let mut allocation_acc = 0.0;
-        let mut busy_util_acc = 0.0;
-        let mut busy_gpu_hours = 0.0;
-
-        let per_gpu = |sku_power: &dyn PowerModel, u: Fraction| sku_power.power(u);
-        let gpus_per_server = self.cluster.sku().accelerators().max(1) as f64;
-
-        let account = self.datacenter.account();
-        let mut variable_co2 = Co2e::ZERO;
-
-        // Chaos machinery — every piece is inert (no RNG draws, exact ×1.0
-        // derate) when `chaos` is absent or zero-rate, so the undisturbed
-        // simulation is reproduced bit-for-bit.
-        let servers = self.cluster.servers() as f64;
-        let crash_dist = chaos.and_then(|c| {
-            let per_hour = c.crash_rate_per_server_day * servers / 24.0;
-            (per_hour > 0.0)
-                .then(|| Poisson::new(per_hour).ok())
-                .flatten()
-        });
-        let sdc_dist = chaos.and_then(|c| {
-            let per_hour = c.sdc_rate_per_server_hour() * servers;
-            (per_hour > 0.0)
-                .then(|| Poisson::new(per_hour).ok())
-                .flatten()
-        });
-        let progress_derate = match chaos {
-            Some(c) => 1.0 / (1.0 + c.checkpoint.overhead.value()),
-            None => 1.0,
-        };
-        let mut meter = chaos.and_then(|c| {
-            (!c.telemetry.is_none()).then(|| {
-                (
-                    FaultInjector::new(&c.telemetry, "fleet-power").with_obs(&self.obs),
-                    FaultTolerantIntegrator::new(step, ImputationPolicy::LastObservation),
-                )
-            })
-        });
-        let mut host_crashes = 0u64;
-        let mut sdc_events = 0u64;
-        let mut recomputed_gpu_hours = 0.0f64;
-        let mut intensity_gap_hours = 0u64;
-        let mut gap_co2 = Co2e::ZERO;
-        let mut jobs_arrived = 0u64;
-
-        let obs = &self.obs;
-        obs.set_time(TimeSpan::ZERO);
-        let run_span = obs.span("fleet_sim.run");
-
-        for hour in 0..steps {
-            obs.set_time(step * hour as f64);
-            let mut hour_energy = Energy::ZERO;
-            // Arrivals.
-            {
-                let _phase = obs.span("fleet_sim.arrivals");
-                let count = arrivals.sample_count(rng);
-                jobs_arrived += count;
-                for _ in 0..count {
-                    let job = self.jobs.sample(rng);
-                    let gpu_hours = job.gpu_days() * 24.0;
-                    queue.push_back(RunningJob {
-                        gpus: job.gpus().min(self.cluster.total_gpus()),
-                        total_gpu_hours: gpu_hours,
-                        remaining_gpu_hours: gpu_hours,
-                        utilization: self.utilization.sample(rng),
-                    });
-                }
-            }
-            // Placement (FIFO).
-            {
-                let _phase = obs.span("fleet_sim.placement");
-                while let Some(job) = queue.front() {
-                    if job.gpus <= free_gpus {
-                        // lint:allow(panic-discipline) loop condition checked front()
-                        let job = queue.pop_front().expect("front exists");
-                        free_gpus -= job.gpus;
-                        running.push(job);
-                    } else {
-                        break;
-                    }
-                }
-            }
-            // Chaos: host crashes roll victims back to their last checkpoint
-            // (half an interval of progress lost on average); SDC events
-            // re-run a fraction of everything the victim had completed.
-            if let Some(c) = chaos {
-                let _phase = obs.span("fleet_sim.chaos_recovery");
-                if let Some(dist) = &crash_dist {
-                    for _ in 0..dist.sample_count(rng) {
-                        host_crashes += 1;
-                        if running.is_empty() {
-                            continue; // the crash hit an idle server
-                        }
-                        let victim = rng.gen_index(running.len());
-                        let job = &mut running[victim];
-                        let done = (job.total_gpu_hours - job.remaining_gpu_hours).max(0.0);
-                        let rate = job.gpus as f64 * job.utilization.value() * progress_derate;
-                        let lost = (0.5 * c.checkpoint.interval.as_hours() * rate).min(done);
-                        job.remaining_gpu_hours += lost;
-                        recomputed_gpu_hours += lost;
-                        obs.event("chaos.crash", &[("lost_gpu_hours", lost.into())]);
-                    }
-                }
-                if let Some(dist) = &sdc_dist {
-                    for _ in 0..dist.sample_count(rng) {
-                        sdc_events += 1;
-                        if running.is_empty() {
-                            continue;
-                        }
-                        let victim = rng.gen_index(running.len());
-                        let job = &mut running[victim];
-                        let done = (job.total_gpu_hours - job.remaining_gpu_hours).max(0.0);
-                        let lost = c.sdc_rerun.value() * done;
-                        job.remaining_gpu_hours += lost;
-                        recomputed_gpu_hours += lost;
-                        obs.event("chaos.sdc", &[("lost_gpu_hours", lost.into())]);
-                    }
-                }
-            }
-            // Advance running jobs one hour and integrate energy.
-            {
-                let _phase = obs.span("fleet_sim.integrate");
-                let mut still_running = Vec::with_capacity(running.len());
-                for mut job in running.drain(..) {
-                    let gpu_hours = job.gpus as f64;
-                    let power = per_gpu(self.cluster.sku().power_model(), job.utilization);
-                    // Per-GPU share of the server power envelope.
-                    hour_energy += power * step * (job.gpus as f64 / gpus_per_server);
-                    busy_util_acc += job.utilization.value() * gpu_hours;
-                    busy_gpu_hours += gpu_hours;
-                    job.remaining_gpu_hours -=
-                        gpu_hours * job.utilization.value() * progress_derate;
-                    if job.remaining_gpu_hours <= 0.0 {
-                        completed += 1;
-                        free_gpus += job.gpus;
-                    } else {
-                        still_running.push(job);
-                    }
-                }
-                running = still_running;
-                // Idle servers draw idle power.
-                let idle_fraction = free_gpus as f64 / total_gpus;
-                let idle_servers = self.cluster.servers() as f64 * idle_fraction;
-                hour_energy += self.cluster.sku().power(Fraction::ZERO) * step * idle_servers;
-                allocation_acc += 1.0 - idle_fraction;
-                it_energy += hour_energy;
-                if obs.enabled() {
-                    obs.histogram("fleet_hour_energy_kwh")
-                        .record(hour_energy.as_kilowatt_hours());
-                    obs.gauge("fleet_free_gpus").set(free_gpus as f64);
-                }
-            }
-            // Chaos: the fleet's own metering sees a corrupted view of the
-            // hour's mean power; the degraded-but-tolerant reading path
-            // accounts it. The simulation keeps integrating the truth.
-            if let Some((inj, integ)) = meter.as_mut() {
-                let at = step * hour as f64;
-                match inj.corrupt(at, step, hour_energy / step) {
-                    Some((t, p)) => integ.push_traced(t, Some(p), obs),
-                    None => integ.push_traced(at, None, obs),
-                };
-            }
-            if let Some(series) = variable_intensity {
-                let facility = account.pue().facility_energy(hour_energy);
-                let feed_gap = chaos.is_some_and(|c| {
-                    c.intensity_gap > Fraction::ZERO && rng.gen_bool(c.intensity_gap.value())
-                });
-                if feed_gap {
-                    // Feed missing: fall back to the region's static average
-                    // intensity; the hour cannot be renewably matched.
-                    let co2 = account.location_based(hour_energy);
-                    variable_co2 += co2;
-                    gap_co2 += co2;
-                    intensity_gap_hours += 1;
-                    obs.event("fleet_sim.intensity_gap", &[("hour", (hour as u64).into())]);
-                } else {
-                    variable_co2 += series.at(hour).emissions(facility);
-                }
-            }
-        }
-
-        obs.set_time(step * steps as f64);
-        drop(run_span);
-        if obs.enabled() {
-            obs.counter("fleet_jobs_arrived_total")
-                .add(jobs_arrived as f64);
-            obs.counter("fleet_jobs_completed_total")
-                .add(completed as f64);
-            obs.counter("fleet_host_crashes_total")
-                .add(host_crashes as f64);
-            obs.counter("fleet_sdc_events_total").add(sdc_events as f64);
-            obs.counter("fleet_intensity_gap_hours_total")
-                .add(intensity_gap_hours as f64);
-        }
-
-        // Embodied carbon on a time-share basis: the whole cluster exists for
-        // the whole horizon, whoever used it.
-        let embodied = self.cluster.total_embodied()
-            * (self.horizon / self.cluster.sku().embodied().lifetime());
-
-        let operational_location = if variable_intensity.is_some() {
-            variable_co2
-        } else {
-            account.location_based(it_energy)
-        };
-        let quality = meter.map(|(inj, mut integ)| {
-            integ.merge_faults(&inj.counts());
-            let mut q = integ.report();
-            q.faults.host_crashes += host_crashes;
-            q
-        });
-        let report = FleetSimReport {
-            it_energy,
-            operational_location,
-            operational_market: account.market_based(it_energy),
-            embodied,
-            jobs_completed: completed,
-            jobs_outstanding: (queue.len() + running.len()) as u64,
-            mean_allocation: Fraction::saturating(allocation_acc / steps as f64),
-            mean_busy_utilization: if busy_gpu_hours > 0.0 {
-                Fraction::saturating(busy_util_acc / busy_gpu_hours)
-            } else {
-                Fraction::ZERO
-            },
-            host_crashes,
-            sdc_events,
-            recomputed_gpu_hours,
-            intensity_gap_hours,
-            quality,
-        };
-        (report, gap_co2)
+        self.simulate(rng, None, chaos, Some(crashes))
     }
 
     /// The event-driven run loop behind every public `run*` flavour: builds
     /// a [`sustain_des::Engine`] whose event train replays the hour-stepped
-    /// loop draw for draw (see the module docs for the per-hour event
-    /// order), drains it, and rolls the accumulated state up into the same
-    /// [`FleetSimReport`] the reference loop produces.
-    fn run_event_driven<R: Rng + ?Sized>(
+    /// model draw for draw (see the module docs for the per-hour event
+    /// order), drains it, and rolls the accumulated state up into the
+    /// finished [`FleetSimReport`].
+    fn simulate<R: Rng + ?Sized>(
         &self,
         rng: &mut R,
-        variable_intensity: Option<&crate::scheduler::IntensitySeries>,
-        chaos: Option<&ChaosConfig>,
-        autoscale: Option<(AutoScaler, DiurnalLoad, u64)>,
-    ) -> (FleetSimReport, Co2e, Option<AutoscaleOutcome>) {
-        self.run_event_driven_with(rng, variable_intensity, chaos, autoscale, None)
-    }
-
-    fn run_event_driven_with<R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        variable_intensity: Option<&crate::scheduler::IntensitySeries>,
-        chaos: Option<&ChaosConfig>,
-        autoscale: Option<(AutoScaler, DiurnalLoad, u64)>,
-        scripted_crashes: Option<&[(u64, usize)]>,
-    ) -> (FleetSimReport, Co2e, Option<AutoscaleOutcome>) {
+        series: Option<&IntensitySeries>,
+        chaos: &ChaosConfig,
+        script: Option<&[(u64, usize)]>,
+    ) -> FleetSimReport {
         let step = TimeSpan::from_hours(1.0);
         let steps = self.horizon.as_hours().ceil() as usize;
-        // lint:allow(panic-discipline) documented panic on a non-positive arrival rate
+        // lint:allow(panic-discipline) new() rejects non-positive and non-finite arrival rates
         let arrivals = Poisson::new(self.arrivals_per_day / 24.0).expect("positive arrival rate");
 
         // Chaos machinery — every piece is inert (no scheduled events, no
-        // RNG draws, exact ×1.0 derate) when `chaos` is absent or
-        // zero-rate, so the undisturbed simulation is reproduced
-        // bit-for-bit. A scripted crash schedule replaces the Poisson
-        // processes entirely.
+        // RNG draws, exact ×1.0 derate) when `chaos` is zero-rate, so the
+        // undisturbed simulation is reproduced bit-for-bit. A scripted
+        // crash schedule replaces the Poisson processes entirely.
         let servers = self.cluster.servers() as f64;
-        let crash_dist = if scripted_crashes.is_some() {
-            None
-        } else {
-            chaos.and_then(|c| {
-                let per_hour = c.crash_rate_per_server_day * servers / 24.0;
-                (per_hour > 0.0)
-                    .then(|| Poisson::new(per_hour).ok())
-                    .flatten()
-            })
+        let poisson = |per_hour: f64| {
+            if script.is_none() && per_hour > 0.0 {
+                Poisson::new(per_hour).ok()
+            } else {
+                None
+            }
         };
-        let sdc_dist = if scripted_crashes.is_some() {
-            None
-        } else {
-            chaos.and_then(|c| {
-                let per_hour = c.sdc_rate_per_server_hour() * servers;
-                (per_hour > 0.0)
-                    .then(|| Poisson::new(per_hour).ok())
-                    .flatten()
-            })
-        };
-        let progress_derate = match chaos {
-            Some(c) => 1.0 / (1.0 + c.checkpoint.overhead.value()),
-            None => 1.0,
-        };
-        let meter = chaos.and_then(|c| {
-            (!c.telemetry.is_none()).then(|| {
-                (
-                    FaultInjector::new(&c.telemetry, "fleet-power").with_obs(&self.obs),
-                    FaultTolerantIntegrator::new(step, ImputationPolicy::LastObservation),
-                )
-            })
+        let crash_dist = poisson(chaos.crash_rate_per_server_day * servers / 24.0);
+        let sdc_dist = poisson(chaos.sdc_rate_per_server_hour() * servers);
+        let meter = (!chaos.telemetry.is_none()).then(|| {
+            (
+                FaultInjector::new(&chaos.telemetry, "fleet-power").with_obs(&self.obs),
+                FaultTolerantIntegrator::new(step, ImputationPolicy::LastObservation),
+            )
         });
 
         let obs = &self.obs;
@@ -750,11 +366,10 @@ impl FleetSim {
 
         let has_crash = crash_dist.is_some();
         let has_sdc = sdc_dist.is_some();
-        let has_autoscale = autoscale.is_some();
         let mut state = DesRun {
             sim: self,
             rng,
-            series: variable_intensity,
+            series,
             chaos,
             step,
             steps,
@@ -763,7 +378,7 @@ impl FleetSim {
             arrivals,
             crash_dist,
             sdc_dist,
-            progress_derate,
+            progress_derate: 1.0 / (1.0 + chaos.checkpoint.overhead.value()),
             meter,
             queue: VecDeque::new(),
             running: Vec::new(),
@@ -783,15 +398,7 @@ impl FleetSim {
             intensity_gap_hours: 0,
             gap_co2: Co2e::ZERO,
             jobs_arrived: 0,
-            scripted_crashes,
-            autoscale: autoscale.map(|(scaler, load, cadence_hours)| AutoscaleState {
-                scaler,
-                load,
-                cadence_hours,
-                decisions: 0,
-                freed_share_acc: 0.0,
-                opportunistic_gpu_hours: 0.0,
-            }),
+            script,
         };
 
         let mut engine: Engine<'_, DesRun<'_, R>> = Engine::with_obs(obs);
@@ -801,7 +408,6 @@ impl FleetSim {
         engine.on(EventKind::CheckpointTick, des_checkpoint::<R>);
         engine.on(EventKind::JobCompletion, des_completion::<R>);
         engine.on(EventKind::IntensityTick, des_rollup::<R>);
-        engine.on(EventKind::AutoscaleDecision, des_autoscale::<R>);
 
         // Hour 0's head events; each hour's IntensityTick schedules the
         // next hour, so the queue drains exactly at the horizon.
@@ -813,13 +419,8 @@ impl FleetSim {
             engine.schedule_at(0, Event::SdcDetected { id: 0 });
         }
         engine.schedule_at(0, Event::CheckpointTick { id: 0 });
-        if has_autoscale {
-            engine.schedule_at(0, Event::AutoscaleDecision { id: 0 });
-        }
-        if let Some(script) = scripted_crashes {
-            for (k, (at, _)) in script.iter().enumerate() {
-                engine.schedule_at(*at, Event::HostCrash { id: k as u64 });
-            }
+        for (k, (at, _)) in script.unwrap_or_default().iter().enumerate() {
+            engine.schedule_at(*at, Event::HostCrash { id: k as u64 });
         }
         engine.run(&mut state);
 
@@ -844,10 +445,18 @@ impl FleetSim {
             * (self.horizon / self.cluster.sku().embodied().lifetime());
 
         let account = self.datacenter.account();
-        let operational_location = if variable_intensity.is_some() {
-            state.variable_co2
+        let (operational_location, operational_market) = if series.is_some() {
+            // Gap hours cannot be renewably matched: only the rest of the
+            // feed-accounted emissions earns the renewable discount.
+            let matched = state.variable_co2 - state.gap_co2;
+            let market =
+                matched * account.renewable_matching().complement().value() + state.gap_co2;
+            (state.variable_co2, market)
         } else {
-            account.location_based(state.it_energy)
+            (
+                account.location_based(state.it_energy),
+                account.market_based(state.it_energy),
+            )
         };
         let host_crashes = state.host_crashes;
         let quality = state.meter.map(|(inj, mut integ)| {
@@ -856,19 +465,10 @@ impl FleetSim {
             q.faults.host_crashes += host_crashes;
             q
         });
-        let outcome = state.autoscale.map(|a| AutoscaleOutcome {
-            decisions: a.decisions,
-            mean_freed_share: if a.decisions > 0 {
-                Fraction::saturating(a.freed_share_acc / a.decisions as f64)
-            } else {
-                Fraction::ZERO
-            },
-            opportunistic_gpu_hours: a.opportunistic_gpu_hours,
-        });
-        let report = FleetSimReport {
+        FleetSimReport {
             it_energy: state.it_energy,
             operational_location,
-            operational_market: account.market_based(state.it_energy),
+            operational_market,
             embodied,
             jobs_completed: state.completed,
             jobs_outstanding: (state.queue.len() + state.running.len()) as u64,
@@ -883,34 +483,8 @@ impl FleetSim {
             recomputed_gpu_hours: state.recomputed_gpu_hours,
             intensity_gap_hours: state.intensity_gap_hours,
             quality,
-        };
-        (report, state.gap_co2, outcome)
+        }
     }
-}
-
-/// What the auto-scaler riding the event queue would have freed for
-/// opportunistic training (§III-C). Deliberately not part of
-/// [`FleetSimReport`]: autoscale decisions observe the fleet but never
-/// mutate it, so the report stays byte-identical to [`FleetSim::run`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct AutoscaleOutcome {
-    /// Number of `AutoscaleDecision` events evaluated.
-    pub decisions: u64,
-    /// Mean share of the web tier freed across decisions.
-    pub mean_freed_share: Fraction,
-    /// Freed capacity integrated over the horizon, in GPU-hours — the
-    /// opportunistic envelope available to offline training.
-    pub opportunistic_gpu_hours: f64,
-}
-
-/// Accumulator behind [`FleetSim::run_with_autoscale`].
-struct AutoscaleState {
-    scaler: AutoScaler,
-    load: DiurnalLoad,
-    cadence_hours: u64,
-    decisions: u64,
-    freed_share_acc: f64,
-    opportunistic_gpu_hours: f64,
 }
 
 /// Shared state threaded through the DES handlers: the simulation config,
@@ -920,8 +494,8 @@ struct AutoscaleState {
 struct DesRun<'a, R: Rng + ?Sized> {
     sim: &'a FleetSim,
     rng: &'a mut R,
-    series: Option<&'a crate::scheduler::IntensitySeries>,
-    chaos: Option<&'a ChaosConfig>,
+    series: Option<&'a IntensitySeries>,
+    chaos: &'a ChaosConfig,
     step: TimeSpan,
     steps: usize,
     total_gpus: f64,
@@ -949,8 +523,7 @@ struct DesRun<'a, R: Rng + ?Sized> {
     intensity_gap_hours: u64,
     gap_co2: Co2e,
     jobs_arrived: u64,
-    scripted_crashes: Option<&'a [(u64, usize)]>,
-    autoscale: Option<AutoscaleState>,
+    script: Option<&'a [(u64, usize)]>,
 }
 
 /// `JobArrival`: samples the hour's Poisson arrival batch, then places
@@ -993,7 +566,10 @@ fn des_arrival<R: Rng + ?Sized>(
 }
 
 /// `HostCrash`: crashes roll victims back to their last checkpoint — half
-/// an interval of progress lost on average, recomputed as real energy.
+/// an interval of progress lost on average, recomputed as real energy. A
+/// Poisson event samples the hour's crash count and draws each victim; a
+/// scripted event is one crash whose victim the script names (mod the
+/// running set), with no RNG draws at all.
 fn des_host_crash<R: Rng + ?Sized>(
     state: &mut DesRun<'_, R>,
     event: Event,
@@ -1001,42 +577,23 @@ fn des_host_crash<R: Rng + ?Sized>(
 ) {
     let obs = state.sim.obs.clone();
     let _phase = obs.span("fleet_sim.chaos_recovery");
-    let interval_hours = match state.chaos {
-        Some(c) => c.checkpoint.interval.as_hours(),
-        None => return,
+    let count = match (state.script, &state.crash_dist) {
+        (Some(_), _) => 1,
+        (None, Some(dist)) => dist.sample_count(&mut *state.rng),
+        (None, None) => return,
     };
-    // A scripted crash: one event per script entry, victim chosen by the
-    // script (mod the running set), no RNG draws at all.
-    if let Some(script) = state.scripted_crashes {
-        state.host_crashes += 1;
-        if state.running.is_empty() {
-            return; // the crash hit an idle server
-        }
-        let scripted_victim = script
-            .get(event.id() as usize)
-            .map(|(_, victim)| *victim)
-            .unwrap_or(0);
-        let victim = scripted_victim % state.running.len();
-        if let Some(job) = state.running.get_mut(victim) {
-            let done = (job.total_gpu_hours - job.remaining_gpu_hours).max(0.0);
-            let rate = job.gpus as f64 * job.utilization.value() * state.progress_derate;
-            let lost = (0.5 * interval_hours * rate).min(done);
-            job.remaining_gpu_hours += lost;
-            state.recomputed_gpu_hours += lost;
-            obs.event("chaos.crash", &[("lost_gpu_hours", lost.into())]);
-        }
-        return;
-    }
-    let count = match &state.crash_dist {
-        Some(dist) => dist.sample_count(&mut *state.rng),
-        None => return,
-    };
+    let interval_hours = state.chaos.checkpoint.interval.as_hours();
     for _ in 0..count {
         state.host_crashes += 1;
         if state.running.is_empty() {
             continue; // the crash hit an idle server
         }
-        let victim = state.rng.gen_index(state.running.len());
+        let victim = match state.script {
+            Some(script) => {
+                script.get(event.id() as usize).map_or(0, |c| c.1) % state.running.len()
+            }
+            None => state.rng.gen_index(state.running.len()),
+        };
         if let Some(job) = state.running.get_mut(victim) {
             let done = (job.total_gpu_hours - job.remaining_gpu_hours).max(0.0);
             let rate = job.gpus as f64 * job.utilization.value() * state.progress_derate;
@@ -1053,10 +610,7 @@ fn des_host_crash<R: Rng + ?Sized>(
 fn des_sdc<R: Rng + ?Sized>(state: &mut DesRun<'_, R>, _event: Event, _timeline: &mut Timeline) {
     let obs = state.sim.obs.clone();
     let _phase = obs.span("fleet_sim.chaos_recovery");
-    let rerun = match state.chaos {
-        Some(c) => c.sdc_rerun.value(),
-        None => return,
-    };
+    let rerun = state.chaos.sdc_rerun.value();
     let count = match &state.sdc_dist {
         Some(dist) => dist.sample_count(&mut *state.rng),
         None => return,
@@ -1161,10 +715,8 @@ fn des_rollup<R: Rng + ?Sized>(state: &mut DesRun<'_, R>, event: Event, timeline
     if let Some(series) = state.series {
         let account = state.sim.datacenter.account();
         let facility = account.pue().facility_energy(hour_energy);
-        let chaos = state.chaos;
-        let feed_gap = chaos.is_some_and(|c| {
-            c.intensity_gap > Fraction::ZERO && state.rng.gen_bool(c.intensity_gap.value())
-        });
+        let gap = state.chaos.intensity_gap;
+        let feed_gap = gap > Fraction::ZERO && state.rng.gen_bool(gap.value());
         if feed_gap {
             // Feed missing: fall back to the region's static average
             // intensity; the hour cannot be renewably matched.
@@ -1192,43 +744,6 @@ fn des_rollup<R: Rng + ?Sized>(state: &mut DesRun<'_, R>, event: Event, timeline
     }
 }
 
-/// `AutoscaleDecision`: evaluates the diurnal web tier at event time and
-/// accounts the capacity an [`AutoScaler`] would free for opportunistic
-/// training. Observes the fleet, never mutates it, draws no randomness.
-fn des_autoscale<R: Rng + ?Sized>(
-    state: &mut DesRun<'_, R>,
-    event: Event,
-    timeline: &mut Timeline,
-) {
-    let obs = state.sim.obs.clone();
-    let total_gpus = state.total_gpus;
-    let horizon_secs = state.steps as u64 * SECS_PER_HOUR;
-    let Some(auto) = state.autoscale.as_mut() else {
-        return;
-    };
-    let now = timeline.now();
-    let utilization = auto.load.utilization_at(TimeSpan::from_secs(now as f64));
-    let freed = auto.scaler.freed_share_at(utilization);
-    auto.decisions += 1;
-    auto.freed_share_acc += freed.value();
-    // The freed share holds until the next decision (or the horizon).
-    let window_hours = auto
-        .cadence_hours
-        .min((horizon_secs.saturating_sub(now)) / SECS_PER_HOUR) as f64;
-    auto.opportunistic_gpu_hours += freed.value() * total_gpus * window_hours;
-    obs.event(
-        "fleet_sim.autoscale",
-        &[
-            ("freed_share", freed.value().into()),
-            ("epoch", event.id().into()),
-        ],
-    );
-    let at = now.saturating_add(auto.cadence_hours * SECS_PER_HOUR);
-    if at < horizon_secs {
-        timeline.schedule_at(at, Event::AutoscaleDecision { id: event.id() + 1 });
-    }
-}
-
 impl CacheKey for FleetSim {
     fn namespace(&self) -> &'static str {
         "fleet-sim"
@@ -1249,14 +764,13 @@ impl CacheKey for FleetSim {
 }
 
 /// Cache key of one Monte Carlo replica: the simulation config, the chaos
-/// config (absence encoded distinctly from `ChaosConfig::none()`), and the
-/// replica's derived seed. Because [`sustain_par::task_seed`] is a pure
+/// config, and the replica's derived seed. Because [`sustain_par::task_seed`] is a pure
 /// function of (base seed, replica index), a replica keeps its fingerprint
 /// when the batch grows or shrinks around it — shrinking `n` re-serves a
 /// strict prefix of the cached batch.
 struct ReplicaKey<'a> {
     sim: &'a FleetSim,
-    chaos: Option<&'a ChaosConfig>,
+    chaos: &'a ChaosConfig,
     seed: u64,
 }
 
@@ -1267,7 +781,7 @@ impl CacheKey for ReplicaKey<'_> {
 
     fn encode_key(&self, enc: &mut KeyEncoder) {
         self.sim.encode_key(enc);
-        enc.write_option(self.chaos, |enc, chaos| chaos.encode_key(enc));
+        self.chaos.encode_key(enc);
         enc.write_u64(self.seed);
     }
 }
@@ -1307,6 +821,18 @@ mod tests {
             arrivals_per_day,
             TimeSpan::from_days(days),
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "horizon must be positive and finite")]
+    fn infinite_horizon_is_rejected_up_front() {
+        sim(10, 10.0, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "arrival rate must be positive and finite")]
+    fn infinite_arrival_rate_is_rejected_up_front() {
+        sim(10, f64::INFINITY, 5.0);
     }
 
     #[test]
@@ -1374,7 +900,6 @@ mod tests {
 
     #[test]
     fn variable_intensity_accounting_brackets_constant() {
-        use crate::scheduler::IntensitySeries;
         use sustain_core::intensity::CarbonIntensity;
         // A flat series must agree exactly with the constant-intensity path;
         // a solar series must land between its min and max hourly intensity.
@@ -1384,7 +909,8 @@ mod tests {
                 CarbonIntensity::from_grams_per_kwh(config_intensity_g());
                 200
             ]);
-        let a = config.run_with_intensity(&mut StdRng::seed_from_u64(9), &flat);
+        let none = ChaosConfig::none();
+        let a = config.run_with_chaos_and_intensity(&mut StdRng::seed_from_u64(9), &flat, &none);
         let b = sim(10, 10.0, 5.0).run(&mut StdRng::seed_from_u64(9));
         assert!(
             (a.operational_location.as_grams() - b.operational_location.as_grams()).abs()
@@ -1395,7 +921,11 @@ mod tests {
         assert!(a.operational_market.is_zero());
 
         let solar = IntensitySeries::solar_day(6);
-        let c = sim(10, 10.0, 5.0).run_with_intensity(&mut StdRng::seed_from_u64(9), &solar);
+        let c = sim(10, 10.0, 5.0).run_with_chaos_and_intensity(
+            &mut StdRng::seed_from_u64(9),
+            &solar,
+            &none,
+        );
         let lo = c.it_energy.as_kilowatt_hours() * 1.1 * 100.0;
         let hi = c.it_energy.as_kilowatt_hours() * 1.1 * 600.0;
         let got = c.operational_location.as_grams();
@@ -1418,7 +948,6 @@ mod tests {
 
     #[test]
     fn zero_chaos_reproduces_undisturbed_run_exactly() {
-        use crate::chaos::ChaosConfig;
         let plain = sim(10, 10.0, 5.0).run(&mut StdRng::seed_from_u64(7));
         let chaotic =
             sim(10, 10.0, 5.0).run_with_chaos(&mut StdRng::seed_from_u64(7), &ChaosConfig::none());
@@ -1427,7 +956,6 @@ mod tests {
 
     #[test]
     fn chaos_burns_extra_energy_through_recovery() {
-        use crate::chaos::ChaosConfig;
         let chaos = ChaosConfig::datacenter_default()
             .with_telemetry(sustain_telemetry::faults::FaultPlan::none())
             .with_crash_rate(0.5)
@@ -1456,7 +984,6 @@ mod tests {
 
     #[test]
     fn degraded_metering_reports_quality_but_not_truth() {
-        use crate::chaos::ChaosConfig;
         use sustain_telemetry::faults::FaultPlan;
         let chaos = ChaosConfig::none()
             .with_telemetry(FaultPlan::degraded().with_seed(3).with_dropout(0.2));
@@ -1479,8 +1006,6 @@ mod tests {
 
     #[test]
     fn intensity_gaps_degrade_market_accounting() {
-        use crate::chaos::ChaosConfig;
-        use crate::scheduler::IntensitySeries;
         let series = IntensitySeries::solar_day(6);
         let chaos = ChaosConfig::none().with_intensity_gap(Fraction::saturating(0.3));
         let clean = sim(10, 10.0, 30.0).run_with_chaos_and_intensity(
@@ -1507,7 +1032,6 @@ mod tests {
 
     #[test]
     fn chaos_run_is_deterministic() {
-        use crate::chaos::ChaosConfig;
         let chaos = ChaosConfig::datacenter_default();
         let a = sim(10, 10.0, 10.0).run_with_chaos(&mut StdRng::seed_from_u64(23), &chaos);
         let b = sim(10, 10.0, 10.0).run_with_chaos(&mut StdRng::seed_from_u64(23), &chaos);
@@ -1519,9 +1043,9 @@ mod tests {
         use sustain_par::ParPool;
         let fleet = sim(10, 10.0, 5.0);
         ParPool::set_threads(1);
-        let serial = fleet.run_replicas(6, 29);
+        let serial = fleet.run_replicas_with_chaos(6, 29, &ChaosConfig::none());
         ParPool::set_threads(4);
-        let parallel = fleet.run_replicas(6, 29);
+        let parallel = fleet.run_replicas_with_chaos(6, 29, &ChaosConfig::none());
         ParPool::set_threads(0);
         assert_eq!(serial, parallel);
         assert_eq!(serial.len(), 6);
@@ -1537,7 +1061,6 @@ mod tests {
 
     #[test]
     fn replica_summary_reduces_deterministically() {
-        use crate::chaos::ChaosConfig;
         let fleet = sim(10, 10.0, 5.0);
         let reports = fleet.run_replicas_with_chaos(4, 7, &ChaosConfig::datacenter_default());
         let summary = ReplicaSummary::from_reports(&reports).expect("non-empty batch");

@@ -162,19 +162,29 @@ fn empty_crash_script_is_a_byte_for_byte_no_op() {
 
 #[test]
 fn zero_chaos_stays_a_no_op_across_the_public_des_surface() {
-    // ChaosConfig::none() byte-for-byte no-op, checked through every
-    // chaos-accepting entry point now that they all ride the event queue.
+    // ChaosConfig::none() under a variable-intensity feed draws no feed
+    // gaps: the simulated fleet is byte-for-byte the undisturbed run, and
+    // only the feed-accounted carbon differs.
     use sustain_fleet::scheduler::IntensitySeries;
     let series = IntensitySeries::solar_day(6);
-    let plain = sim().run_with_intensity(&mut StdRng::seed_from_u64(19), &series);
-    let chaotic = sim().run_with_chaos_and_intensity(
+    let plain = sim().run(&mut StdRng::seed_from_u64(19));
+    let fed = sim().run_with_chaos_and_intensity(
         &mut StdRng::seed_from_u64(19),
         &series,
         &ChaosConfig::none(),
     );
+    assert_eq!(fed.intensity_gap_hours, 0);
+    // Hyperscale DC fully matches renewables, and with no gap hours every
+    // hour earns the discount.
+    assert!(fed.operational_market.is_zero());
+    let fleet_state = sustain_fleet::sim::FleetSimReport {
+        operational_location: plain.operational_location,
+        operational_market: plain.operational_market,
+        ..fed
+    };
     assert_eq!(
         serde_json::to_string(&plain).expect("serializes"),
-        serde_json::to_string(&chaotic).expect("serializes"),
+        serde_json::to_string(&fleet_state).expect("serializes"),
         "ChaosConfig::none() must be a no-op under variable intensity too"
     );
 }

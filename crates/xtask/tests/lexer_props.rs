@@ -29,7 +29,7 @@ const FRAGMENTS: &[&str] = &[
     // Identifiers and keywords (`r` and `b` are deliberate: followed by a
     // separator they must lex as idents, not raw-string openers).
     "fn",
-    "run_replicas",
+    "run_with_chaos",
     "HashMap",
     "_x1",
     "r",

@@ -319,6 +319,9 @@ impl<'a> Parser<'a> {
                             {
                                 self.pos += 2;
                                 let low = self.hex4()?;
+                                if !(0xDC00..0xE000).contains(&low) {
+                                    return self.err("invalid surrogate pair");
+                                }
                                 let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
                                 match char::from_u32(combined) {
                                     Some(c) => out.push(c),
@@ -430,6 +433,17 @@ mod tests {
     fn non_finite_floats_encode_as_null() {
         assert_eq!(to_string(&f64::NAN).unwrap(), "null");
         assert_eq!(to_string(&f64::INFINITY).unwrap(), "null");
+    }
+
+    #[test]
+    fn surrogate_escapes_decode_only_as_valid_pairs() {
+        assert!(from_str::<String>(r#""\uDBFF\uD800""#).is_err());
+        assert!(from_str::<String>(r#""\uD800A""#).is_err());
+        assert_eq!(
+            from_str::<String>(r#""\uD83D\uDE00""#).unwrap(),
+            "\u{1F600}"
+        );
+        assert_eq!(from_str::<String>("\"\u{1F600}\"").unwrap(), "\u{1F600}");
     }
 
     #[test]

@@ -9,6 +9,7 @@ use rand::SeedableRng;
 use sustain_bench::figs;
 use sustainai::core::intensity::GridRegion;
 use sustainai::core::units::{Power, TimeSpan};
+use sustainai::fleet::chaos::ChaosConfig;
 use sustainai::fleet::cluster::Cluster;
 use sustainai::fleet::datacenter::DataCenter;
 use sustainai::fleet::sim::{FleetSim, ReplicaSummary};
@@ -109,9 +110,9 @@ fn thread_count_never_leaks_into_recordings_or_replicas() {
     let fleet = sim();
     for base_seed in [SEED_A, SEED_B] {
         ParPool::set_threads(1);
-        let serial = fleet.run_replicas(5, base_seed);
+        let serial = fleet.run_replicas_with_chaos(5, base_seed, &ChaosConfig::none());
         ParPool::set_threads(4);
-        let parallel = fleet.run_replicas(5, base_seed);
+        let parallel = fleet.run_replicas_with_chaos(5, base_seed, &ChaosConfig::none());
         ParPool::set_threads(0);
         assert_eq!(format!("{serial:?}"), format!("{parallel:?}"));
 
