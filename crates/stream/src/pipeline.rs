@@ -164,12 +164,16 @@ impl Shard {
     /// set, the watermark is ignored and the buffer empties entirely
     /// (end-of-stream).
     ///
-    /// The batched path is byte-identical to pushing each released sample
-    /// through `FaultTolerantIntegrator::push` + `PowerTrace::push` in
-    /// release order: per-sink subsequences preserve release order, the
-    /// kernel accumulates in the same float-expression order, and the trace
-    /// only ever receives runs the integrator has already validated — so
-    /// its rejection tally stays zero, exactly as on the per-sample path.
+    /// Each sink's released samples go through the one dense batch kernel
+    /// per type, `FaultTolerantIntegrator::push_batch` and
+    /// `PowerTrace::push_batch`. That is byte-identical to pushing each
+    /// released sample through `FaultTolerantIntegrator::push` +
+    /// `PowerTrace::push` in release order: per-sink subsequences preserve
+    /// release order, and the kernel accumulates in the same
+    /// float-expression order. Late arrivals reach the integrator as
+    /// `push(at, None)` before the batch; a lost tick never moves the
+    /// integrator's resume point, so both types apply the same monotone
+    /// accept rule to the batch and reject the same samples.
     fn flush(&mut self, force: bool) {
         // The whole shard flush is one fused batched stage — queue drain
         // feeding the reorder admit, time-ordered release regrouped into
@@ -227,10 +231,10 @@ impl Shard {
             // and tallied exactly as per-sample pushes would. The batch is
             // all observed samples, so `len - accepted` is that rejection
             // count. The trace mirrors the batch with the same monotone
-            // accept rule — its `last` stays in lockstep with the
-            // integrator's — skipping the already-tallied rejects.
-            let accepted = sink.integrator.push_batch_observed(batch);
-            sink.trace.push_batch_observed(batch);
+            // accept rule, so its `last` stays in lockstep with the
+            // integrator's and it rejects the same samples.
+            let accepted = sink.integrator.push_batch(batch);
+            sink.trace.push_batch(batch);
             out_of_order += (batch.len() - accepted) as u64;
         }
         self.emitted_out_of_order += out_of_order;

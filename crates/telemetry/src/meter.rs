@@ -7,6 +7,11 @@
 //! timestamps, splits its total into measured vs imputed energy, and reports
 //! the split as a [`DataQualityReport`]. [`sample_profile`] drives a
 //! `PowerModel` over a utilization signal to produce a `PowerTrace`.
+//!
+//! Each integrator has one scalar `push`, the reference every test compares
+//! against. [`FaultTolerantIntegrator`] also has one batch kernel,
+//! [`FaultTolerantIntegrator::push_batch`], over dense `(time, power)`
+//! readings; lost ticks stay on the scalar path as `push(at, None)`.
 
 use sustain_core::quality::{DataQualityReport, FaultCounts, FaultKind};
 use sustain_core::units::{Energy, Fraction, Power, TimeSpan};
@@ -62,49 +67,6 @@ impl EnergyIntegrator {
         self.last = Some((at, power));
         self.samples += 1;
         true
-    }
-
-    /// Pushes a whole batch of samples, returning how many were accepted.
-    ///
-    /// Byte-identical to calling [`EnergyIntegrator::push`] per element —
-    /// the trapezoid terms accumulate in the same order with the same
-    /// intermediate expressions — but contiguous in-order runs are integrated
-    /// by a tight loop that hoists the ordering check to one scan per run.
-    pub fn push_batch(&mut self, samples: &[(TimeSpan, Power)]) -> usize {
-        let mut accepted = 0;
-        let mut i = 0;
-        while i < samples.len() {
-            let Some((t0, p0)) = self.last else {
-                // First-ever sample: seed via the scalar path.
-                accepted += usize::from(self.push(samples[i].0, samples[i].1));
-                i += 1;
-                continue;
-            };
-            // Maximal in-order run starting at i, relative to the running
-            // last-accepted timestamp.
-            let mut j = i;
-            let mut prev = t0;
-            while j < samples.len() && samples[j].0 >= prev {
-                prev = samples[j].0;
-                j += 1;
-            }
-            if j == i {
-                self.rejected += 1;
-                i += 1;
-                continue;
-            }
-            let (mut lt, mut lp) = (t0, p0);
-            for &(at, p) in &samples[i..j] {
-                self.energy += (lp + p) * 0.5 * (at - lt);
-                lt = at;
-                lp = p;
-            }
-            self.last = Some((lt, lp));
-            self.samples += j - i;
-            accepted += j - i;
-            i = j;
-        }
-        accepted
     }
 
     /// Total integrated energy so far.
@@ -233,70 +195,51 @@ impl FaultTolerantIntegrator {
         self.push_inner(at, sample, Some(obs))
     }
 
-    /// Pushes a whole batch of sampling ticks, returning how many observed
-    /// samples were accepted (lost ticks count as handled but not accepted,
-    /// mirroring [`FaultTolerantIntegrator::push`]'s `true` on `None`).
+    /// Pushes a batch of observed readings, returning how many were
+    /// accepted. Lost ticks are not part of a batch: they go through
+    /// [`FaultTolerantIntegrator::push`] as `(at, None)`, which counts the
+    /// expected tick and never moves the resume point, so a caller may
+    /// issue them at any cut between batches.
     ///
-    /// The batch is split into maximal *clean runs* — consecutive observed
-    /// samples whose timestamps are in order and whose spacing stays within
-    /// the gap limit — and each run is integrated by a tight trapezoid loop
-    /// with no fault/imputation branching. Every boundary sample (lost tick,
-    /// out-of-order timestamp, or gap) falls back to the scalar path, so
-    /// fault tallies, imputation, and the measured/imputed split are
-    /// byte-identical to pushing the same ticks one at a time.
-    pub fn push_batch(&mut self, samples: &[(TimeSpan, Option<Power>)]) -> usize {
-        self.push_batch_inner(samples, None)
-    }
-
-    /// [`FaultTolerantIntegrator::push_batch`] with observability: boundary
-    /// samples route through the traced scalar path, so gap/rejection events
-    /// and counters fire exactly as they would per sample. Clean runs emit
-    /// nothing — there is nothing fault-shaped to report.
-    pub fn push_batch_traced(&mut self, samples: &[(TimeSpan, Option<Power>)], obs: &Obs) -> usize {
-        self.push_batch_inner(samples, Some(obs))
-    }
-
-    /// [`FaultTolerantIntegrator::push_batch`] for a batch of observed
-    /// readings only — the columnar fast path for callers (e.g. the stream
-    /// pipeline's per-sink flush batches) whose batches carry no lost-tick
-    /// tombstones, so every entry is a plain 16-byte `(time, power)` pair
-    /// with no `Option` discriminant to load or test per sample. Tallies,
-    /// imputation, and float results are bitwise identical to pushing each
-    /// sample as `(at, Some(power))` in order.
-    pub fn push_batch_observed(&mut self, samples: &[(TimeSpan, Power)]) -> usize {
+    /// The batch is split into maximal *clean runs*: readings whose
+    /// timestamps are in order and whose spacing stays within the gap
+    /// limit. Each run is integrated by a tight trapezoid loop with no
+    /// fault or imputation branching. Every boundary reading (out-of-order
+    /// timestamp or gap) falls back to the scalar path. Fault tallies,
+    /// imputation, and the measured/imputed split are therefore bitwise
+    /// identical to pushing each reading as `(at, Some(power))` in order.
+    pub fn push_batch(&mut self, samples: &[(TimeSpan, Power)]) -> usize {
         let gap_limit = self.interval * crate::constants::GAP_DETECTION_FACTOR;
         let mut accepted = 0;
         let mut i = 0;
         while i < samples.len() {
-            let Some((t0, p0)) = self.last else {
+            // Maximal clean run starting at i: in-order and within the gap
+            // limit of the running previous timestamp. With no prior sample
+            // the run is empty.
+            let mut j = i;
+            if let Some((mut prev, _)) = self.last {
+                while j < samples.len() {
+                    let (at, _) = samples[j];
+                    if at >= prev && at - prev <= gap_limit {
+                        prev = at;
+                        j += 1;
+                    } else {
+                        break;
+                    }
+                }
+            }
+            let Some((t0, p0)) = self.last.filter(|_| j > i) else {
+                // Boundary: first sample, out-of-order or gap. The scalar
+                // path keeps tallies and imputation identical.
                 let (at, power) = samples[i];
                 accepted += usize::from(self.push_inner(at, Some(power), None));
                 i += 1;
                 continue;
             };
-            // Maximal clean run starting at i: in-order and within the gap
-            // limit of the running previous timestamp.
-            let mut j = i;
-            let mut prev = t0;
-            while j < samples.len() {
-                let (at, _) = samples[j];
-                if at >= prev && at - prev <= gap_limit {
-                    prev = at;
-                    j += 1;
-                } else {
-                    break;
-                }
-            }
-            if j == i {
-                // Boundary: out-of-order or gap — scalar path keeps
-                // tallies and imputation identical.
-                let (at, power) = samples[i];
-                accepted += usize::from(self.push_inner(at, Some(power), None));
-                i += 1;
-                continue;
-            }
-            // Same clean-run kernel as `push_batch`: per-sample order and
-            // expression shape, so float results are bitwise identical.
+            // Clean-run kernel: trapezoid accumulation in per-sample order
+            // with the same expression shape as `push_inner`, so the float
+            // results are bitwise identical; the per-sample counter updates
+            // collapse into one batched update.
             let (mut lt, mut lp) = (t0, p0);
             for &(at, p) in &samples[i..j] {
                 self.measured += (lp + p) * 0.5 * (at - lt);
@@ -311,73 +254,6 @@ impl FaultTolerantIntegrator {
             i = j;
         }
         accepted
-    }
-
-    fn push_batch_inner(
-        &mut self,
-        samples: &[(TimeSpan, Option<Power>)],
-        obs: Option<&Obs>,
-    ) -> usize {
-        let gap_limit = self.interval * crate::constants::GAP_DETECTION_FACTOR;
-        let mut accepted = 0;
-        let mut i = 0;
-        while i < samples.len() {
-            let Some((t0, p0)) = self.last else {
-                // No prior sample: the first push seeds `last` and integrates
-                // nothing, so run it through the scalar path.
-                let (at, sample) = samples[i];
-                let ok = self.push_inner(at, sample, obs);
-                accepted += usize::from(ok && sample.is_some());
-                i += 1;
-                continue;
-            };
-            // Maximal clean run starting at i: observed, in-order, within
-            // the gap limit of the running previous timestamp.
-            let mut j = i;
-            let mut prev = t0;
-            while j < samples.len() {
-                match samples[j] {
-                    (at, Some(_)) if at >= prev && at - prev <= gap_limit => {
-                        prev = at;
-                        j += 1;
-                    }
-                    _ => break,
-                }
-            }
-            if j == i {
-                // Boundary: lost tick, out-of-order, or gap — scalar path
-                // keeps tallies, imputation, and obs events identical.
-                let (at, sample) = samples[i];
-                let ok = self.push_inner(at, sample, obs);
-                accepted += usize::from(ok && sample.is_some());
-                i += 1;
-                continue;
-            }
-            // Clean-run kernel: pure trapezoid accumulation in per-sample
-            // order (same expression shape as `push_inner`, so the float
-            // results are bitwise identical), with the per-sample counter
-            // updates collapsed into one batched update.
-            let (mut lt, mut lp) = (t0, p0);
-            for &(at, sample) in &samples[i..j] {
-                let p = sample.unwrap_or(lp); // run is all-observed by construction
-                self.measured += (lp + p) * 0.5 * (at - lt);
-                lt = at;
-                lp = p;
-            }
-            let n = (j - i) as u64;
-            self.expected += n;
-            self.observed += n;
-            self.last = Some((lt, lp));
-            accepted += j - i;
-            i = j;
-        }
-        accepted
-    }
-
-    /// The most recently accepted `(timestamp, power)` sample, if any —
-    /// the reference point the next push's ordering/gap checks run against.
-    pub fn last_sample(&self) -> Option<(TimeSpan, Power)> {
-        self.last
     }
 
     fn push_inner(&mut self, at: TimeSpan, sample: Option<Power>, obs: Option<&Obs>) -> bool {
@@ -721,12 +597,24 @@ mod tests {
         let mut m = ft(ImputationPolicy::Linear);
         assert!(m.push_traced(TimeSpan::from_secs(5.0), Some(Power::from_watts(1.0)), &obs));
         assert!(!m.push_traced(TimeSpan::from_secs(4.0), Some(Power::from_watts(1.0)), &obs));
+        // A 5 s gap past the 1.5 s limit: bridged once, and the bridged
+        // joules land on the energy counter the fleet meter exports.
+        assert!(m.push_traced(
+            TimeSpan::from_secs(10.0),
+            Some(Power::from_watts(1.0)),
+            &obs
+        ));
         assert!((obs.counter("meter_rejected_samples_total").value() - 1.0).abs() < 1e-12);
+        assert!((obs.counter("meter_imputed_gaps_total").value() - 1.0).abs() < 1e-12);
+        assert!((m.imputed_energy().as_joules() - 5.0).abs() < 1e-12);
+        assert!((obs.counter("meter_imputed_energy_joules_total").value() - 5.0).abs() < 1e-12);
         let events = obs.events();
-        assert!(events.iter().any(|e| matches!(
-            e,
-            sustain_obs::EventRecord::Instant { name, .. } if *name == "meter.rejected_sample"
-        )));
+        for kind in ["meter.rejected_sample", "meter.imputed_gap"] {
+            assert!(events.iter().any(|e| matches!(
+                e,
+                sustain_obs::EventRecord::Instant { name, .. } if *name == kind
+            )));
+        }
     }
 
     /// A tick stream exercising every boundary kind: lost ticks, gaps,
@@ -752,6 +640,29 @@ mod tests {
         ticks
     }
 
+    /// Feeds `ticks` in `chunk`-sized cuts: each cut's observed readings go
+    /// through the dense kernel in one batch, then its lost ticks through
+    /// scalar `push(at, None)`. The property suite pushes them before the
+    /// batch instead; both orders must match per-sample pushes.
+    fn push_chunked(
+        m: &mut FaultTolerantIntegrator,
+        ticks: &[(TimeSpan, Option<Power>)],
+        chunk: usize,
+    ) -> usize {
+        let mut accepted = 0;
+        for part in ticks.chunks(chunk) {
+            let dense: Vec<(TimeSpan, Power)> = part
+                .iter()
+                .filter_map(|&(t, p)| p.map(|p| (t, p)))
+                .collect();
+            accepted += m.push_batch(&dense);
+            for &(at, _) in part.iter().filter(|(_, p)| p.is_none()) {
+                m.push(at, None);
+            }
+        }
+        accepted
+    }
+
     #[test]
     fn batch_is_byte_identical_to_per_sample_for_any_split() {
         let ticks = adversarial_ticks();
@@ -766,10 +677,7 @@ mod tests {
         // run boundaries must be invariant to how the stream is batched.
         for chunk in [1, 2, 3, 7, 64, ticks.len()] {
             let mut batched = ft(ImputationPolicy::Linear);
-            let mut accepted = 0;
-            for part in ticks.chunks(chunk) {
-                accepted += batched.push_batch(part);
-            }
+            let accepted = push_chunked(&mut batched, &ticks, chunk);
             assert_eq!(batched, reference, "chunk size {chunk}");
             assert_eq!(accepted, accepted_ref, "chunk size {chunk}");
             assert_eq!(
@@ -799,59 +707,9 @@ mod tests {
             for &(at, s) in &ticks {
                 reference.push(at, s);
             }
-            for part in ticks.chunks(5) {
-                batched.push_batch(part);
-            }
+            push_chunked(&mut batched, &ticks, 5);
             assert_eq!(batched, reference, "{policy:?}");
         }
-    }
-
-    #[test]
-    fn plain_push_batch_matches_per_sample() {
-        let samples: Vec<(TimeSpan, Power)> = (0..100)
-            .map(|i| {
-                let t = if i % 19 == 4 {
-                    i as f64 - 3.0
-                } else {
-                    i as f64
-                };
-                (TimeSpan::from_secs(t), Power::from_watts(50.0 + i as f64))
-            })
-            .collect();
-        let mut reference = EnergyIntegrator::new();
-        for &(at, p) in &samples {
-            reference.push(at, p);
-        }
-        for chunk in [1, 4, samples.len()] {
-            let mut batched = EnergyIntegrator::new();
-            let mut accepted = 0;
-            for part in samples.chunks(chunk) {
-                accepted += batched.push_batch(part);
-            }
-            assert_eq!(batched, reference, "chunk size {chunk}");
-            assert_eq!(accepted, reference.samples(), "chunk size {chunk}");
-        }
-        assert!(reference.rejected() > 0, "stream must exercise rejections");
-    }
-
-    #[test]
-    fn batch_traced_fires_boundary_obs_events() {
-        use sustain_obs::ObsConfig;
-        let obs = ObsConfig::enabled().build();
-        let mut m = ft(ImputationPolicy::Linear);
-        let ticks = [
-            (TimeSpan::from_secs(0.0), Some(Power::from_watts(100.0))),
-            (TimeSpan::from_secs(1.0), Some(Power::from_watts(100.0))),
-            (TimeSpan::from_secs(6.0), Some(Power::from_watts(100.0))), // gap
-            (TimeSpan::from_secs(2.0), Some(Power::from_watts(100.0))), // out of order
-        ];
-        m.push_batch_traced(&ticks, &obs);
-        assert!((obs.counter("meter_imputed_gaps_total").value() - 1.0).abs() < 1e-12);
-        assert!((obs.counter("meter_rejected_samples_total").value() - 1.0).abs() < 1e-12);
-        assert_eq!(
-            m.last_sample(),
-            Some((TimeSpan::from_secs(6.0), Power::from_watts(100.0)))
-        );
     }
 
     #[test]

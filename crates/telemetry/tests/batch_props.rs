@@ -1,20 +1,22 @@
-//! Differential property suite for the batched SoA integration kernels.
+//! Differential property suite for the dense batch kernels.
 //!
-//! The batched entry points ([`EnergyIntegrator::push_batch`],
-//! [`FaultTolerantIntegrator::push_batch`], the dense `*_observed`
-//! variants, and the SoA [`PowerTrace`] batch appends) promise *bitwise*
-//! equivalence with the per-sample paths — same float accumulation order,
-//! same tallies, same imputation — for any sample sequence and any way of
-//! cutting it into batches. These properties drive arbitrary fault shapes
-//! (lost ticks, out-of-order stragglers, gaps past the detection limit)
-//! through both paths at arbitrary batch boundaries and require identical
-//! end states.
+//! Each type has one batch kernel over observed `(time, power)` readings:
+//! [`FaultTolerantIntegrator::push_batch`] and [`PowerTrace::push_batch`].
+//! Both promise *bitwise* equivalence with the per-sample `push` paths —
+//! same float accumulation order, same tallies, same imputation — for any
+//! sample sequence and any way of cutting it into batches. Lost ticks are
+//! not part of a batch; as in the stream flush, they reach the integrator
+//! through scalar `push(at, None)` calls at the cut points, which is sound
+//! only because a lost tick never moves the integrator's resume point.
+//! These properties drive arbitrary fault shapes (lost ticks, out-of-order
+//! stragglers, gaps past the detection limit) through both paths at
+//! arbitrary batch boundaries and require identical end states.
 
 use proptest::prelude::*;
 
 use sustain_core::units::{Power, TimeSpan};
 use sustain_telemetry::faults::ImputationPolicy;
-use sustain_telemetry::meter::{EnergyIntegrator, FaultTolerantIntegrator};
+use sustain_telemetry::meter::FaultTolerantIntegrator;
 use sustain_telemetry::trace::PowerTrace;
 
 /// Decodes a proptest-generated tick list into a fault-bearing sample
@@ -48,6 +50,21 @@ fn boundaries(cuts: &[usize], len: usize) -> Vec<usize> {
     bounds
 }
 
+/// Splits a window of ticks into its dense observed readings (the batch)
+/// and the timestamps of its lost ticks.
+fn split_lost(window: &[(TimeSpan, Option<Power>)]) -> (Vec<(TimeSpan, Power)>, Vec<TimeSpan>) {
+    let dense = window
+        .iter()
+        .filter_map(|&(t, p)| p.map(|p| (t, p)))
+        .collect();
+    let lost = window
+        .iter()
+        .filter(|(_, p)| p.is_none())
+        .map(|&(t, _)| t)
+        .collect();
+    (dense, lost)
+}
+
 fn policy(pick: u8) -> ImputationPolicy {
     match pick % 3 {
         0 => ImputationPolicy::Linear,
@@ -60,8 +77,10 @@ fn policy(pick: u8) -> ImputationPolicy {
 
 proptest! {
     /// `FaultTolerantIntegrator::push_batch` at arbitrary batch
-    /// boundaries is bitwise identical to per-sample pushes: same quality
-    /// report, same measured/imputed energy bits, same resume point.
+    /// boundaries, with each window's lost ticks pushed as `(at, None)` at
+    /// the cut before its batch, is bitwise identical to per-sample pushes:
+    /// same quality report, same measured/imputed energy bits, same resume
+    /// point (the integrator is `PartialEq` over all of them).
     #[test]
     fn fault_tolerant_push_batch_is_split_invariant(
         ticks in prop::collection::vec((0u8..255, 1.0f64..500.0), 1..120),
@@ -77,16 +96,26 @@ proptest! {
             accepted_ref += usize::from(reference.push(at, p) && p.is_some());
         }
 
+        // The trace mirrors every batch, as in the stream flush: with the
+        // integrator's resume point in lockstep, it rejects the same
+        // stragglers the integrator tallies as out-of-order.
         let mut batched = FaultTolerantIntegrator::new(interval, policy(pick));
+        let mut trace = PowerTrace::new();
         let mut accepted_batch = 0usize;
         for pair in boundaries(&cuts, samples.len()).windows(2) {
-            accepted_batch += batched.push_batch(&samples[pair[0]..pair[1]]);
+            let (dense, lost) = split_lost(&samples[pair[0]..pair[1]]);
+            for at in lost {
+                prop_assert!(batched.push(at, None));
+            }
+            accepted_batch += batched.push_batch(&dense);
+            trace.push_batch(&dense);
         }
 
         prop_assert_eq!(accepted_ref, accepted_batch);
-        prop_assert_eq!(reference.last_sample(), batched.last_sample());
+        prop_assert_eq!(&reference, &batched);
+        prop_assert_eq!(trace.len(), accepted_batch);
+        prop_assert_eq!(trace.rejected(), batched.report().faults.out_of_order);
         let (r, b) = (reference.report(), batched.report());
-        prop_assert_eq!(&r, &b);
         prop_assert_eq!(
             r.measured_energy.as_joules().to_bits(),
             b.measured_energy.as_joules().to_bits(),
@@ -96,34 +125,6 @@ proptest! {
             r.imputed_energy.as_joules().to_bits(),
             b.imputed_energy.as_joules().to_bits(),
             "imputed energy must match bit for bit"
-        );
-    }
-
-    /// `EnergyIntegrator::push_batch` at arbitrary boundaries leaves the
-    /// integrator in exactly the per-sample end state (the struct is
-    /// `PartialEq`: energy, counts, window, resume point).
-    #[test]
-    fn energy_push_batch_is_split_invariant(
-        ticks in prop::collection::vec((0u8..255, 1.0f64..500.0), 1..120),
-        cuts in prop::collection::vec(0usize..128, 0..6),
-    ) {
-        let dense: Vec<(TimeSpan, Power)> = decode(&ticks)
-            .into_iter()
-            .filter_map(|(t, p)| p.map(|p| (t, p)))
-            .collect();
-
-        let mut reference = EnergyIntegrator::new();
-        for &(at, p) in &dense {
-            reference.push(at, p);
-        }
-        let mut batched = EnergyIntegrator::new();
-        for pair in boundaries(&cuts, dense.len()).windows(2) {
-            batched.push_batch(&dense[pair[0]..pair[1]]);
-        }
-        prop_assert_eq!(reference, batched);
-        prop_assert_eq!(
-            reference.energy().as_joules().to_bits(),
-            batched.energy().as_joules().to_bits()
         );
     }
 
@@ -158,8 +159,9 @@ proptest! {
             }
         }
         let mut batched = PowerTrace::new();
+        let mut appended = 0usize;
         for pair in boundaries(&cuts, samples.len()).windows(2) {
-            batched.push_batch(&samples[pair[0]..pair[1]]);
+            appended += batched.push_batch(&split_lost(&samples[pair[0]..pair[1]]).0);
         }
 
         // Iteration over the SoA columns reproduces the AoS model bit for
@@ -173,52 +175,11 @@ proptest! {
         prop_assert_eq!(batched.times(), pushed.times());
         prop_assert_eq!(batched.powers(), pushed.powers());
         prop_assert_eq!(batched.rejected(), pushed.rejected());
+        prop_assert_eq!(appended, batched.len());
 
         let interval = TimeSpan::from_secs(1.0);
         let fill_pushed = pushed.fill_gaps(interval, ImputationPolicy::Linear);
         let fill_batched = batched.fill_gaps(interval, ImputationPolicy::Linear);
         prop_assert_eq!(fill_pushed, fill_batched);
-    }
-
-    /// The dense observed-only fast paths (`push_batch_observed` on the
-    /// integrator and the trace) are bitwise identical to the
-    /// `Option`-typed batch paths over the same readings.
-    #[test]
-    fn observed_fast_path_matches_option_path(
-        ticks in prop::collection::vec((0u8..255, 1.0f64..500.0), 1..120),
-        cuts in prop::collection::vec(0usize..128, 0..6),
-        pick in 0u8..255,
-    ) {
-        let dense: Vec<(TimeSpan, Power)> = decode(&ticks)
-            .into_iter()
-            .filter_map(|(t, p)| p.map(|p| (t, p)))
-            .collect();
-        let wrapped: Vec<(TimeSpan, Option<Power>)> =
-            dense.iter().map(|&(t, p)| (t, Some(p))).collect();
-        let interval = TimeSpan::from_secs(1.0);
-
-        let mut option_path = FaultTolerantIntegrator::new(interval, policy(pick));
-        let mut dense_path = FaultTolerantIntegrator::new(interval, policy(pick));
-        let mut accepted_option = 0usize;
-        let mut accepted_dense = 0usize;
-        for pair in boundaries(&cuts, dense.len()).windows(2) {
-            accepted_option += option_path.push_batch(&wrapped[pair[0]..pair[1]]);
-            accepted_dense += dense_path.push_batch_observed(&dense[pair[0]..pair[1]]);
-        }
-        prop_assert_eq!(accepted_option, accepted_dense);
-        prop_assert_eq!(option_path.last_sample(), dense_path.last_sample());
-        prop_assert_eq!(option_path.report(), dense_path.report());
-
-        let mut trace_option = PowerTrace::new();
-        let mut trace_dense = PowerTrace::new();
-        for pair in boundaries(&cuts, dense.len()).windows(2) {
-            trace_option.push_batch_vetted(&wrapped[pair[0]..pair[1]]);
-            trace_dense.push_batch_observed(&dense[pair[0]..pair[1]]);
-        }
-        prop_assert_eq!(trace_option.times(), trace_dense.times());
-        prop_assert_eq!(trace_option.powers(), trace_dense.powers());
-        // Both vetted paths skip out-of-order entries without tallying.
-        prop_assert_eq!(trace_option.rejected(), 0);
-        prop_assert_eq!(trace_dense.rejected(), 0);
     }
 }

@@ -77,15 +77,21 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`parse_json`] accepts (serde_json's
+/// default recursion limit). A deeper document is an error, not a stack
+/// overflow.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document.
 ///
 /// # Errors
 ///
-/// Returns a byte-offset message on malformed input or trailing garbage.
+/// Returns a byte-offset message on malformed input, trailing garbage, or
+/// nesting deeper than 128 arrays/objects.
 pub fn parse_json(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -111,11 +117,15 @@ fn expect_byte(bytes: &[u8], pos: &mut usize, want: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value inside `depth` open arrays/objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+        }
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -205,7 +215,7 @@ fn utf8_len(first: u8) -> usize {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect_byte(bytes, pos, b'{')?;
     let mut fields = Vec::new();
     skip_ws(bytes, pos);
@@ -218,7 +228,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect_byte(bytes, pos, b':')?;
-        fields.push((key, parse_value(bytes, pos)?));
+        fields.push((key, parse_value(bytes, pos, depth)?));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -231,7 +241,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect_byte(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -240,7 +250,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -570,6 +580,18 @@ mod tests {
         assert!(parse_json("{}extra").is_err());
         assert!(parse_json("{\"a\": }").is_err());
         assert!(parse_json("").is_err());
+    }
+
+    #[test]
+    fn json_nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"k\":".repeat(n) + "1" + &"}".repeat(n);
+        assert!(parse_json(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse_json(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse_json(&arrays(MAX_DEPTH + 1)).is_err());
+        assert!(parse_json(&objects(MAX_DEPTH + 1)).is_err());
+        assert!(parse_json(&"[".repeat(200_000)).is_err());
+        assert!(parse_json(&"{\"k\":".repeat(200_000)).is_err());
     }
 
     #[test]

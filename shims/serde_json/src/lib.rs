@@ -165,9 +165,15 @@ fn write_string(out: &mut String, s: &str) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting [`parse`] accepts (serde_json's default
+/// recursion limit). A deeper document is an error, not a stack overflow.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 /// Parses a JSON document into a [`Value`].
@@ -179,6 +185,7 @@ pub fn parse(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -222,8 +229,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -232,6 +239,17 @@ impl<'a> Parser<'a> {
             Some(_) => self.err("unexpected character"),
             None => self.err("unexpected end of input"),
         }
+    }
+
+    /// Parses one array or object with `body`, one level deeper.
+    fn nested(&mut self, body: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return self.err(&format!("nesting deeper than {MAX_DEPTH}"));
+        }
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value> {
@@ -466,6 +484,18 @@ mod tests {
         assert!(parse("1 2").is_err());
         assert!(parse("{").is_err());
         assert!(from_str::<f64>("\"no\"").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"k\":".repeat(n) + "1" + &"}".repeat(n);
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse(&arrays(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&"[".repeat(200_000)).is_err());
+        assert!(parse(&"{\"k\":".repeat(200_000)).is_err());
     }
 
     #[test]
