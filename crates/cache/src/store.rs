@@ -254,6 +254,7 @@ pub fn read_entry_file(path: &Path) -> Option<Vec<u8>> {
 mod tests {
     use super::*;
     use crate::key::{CacheKey, KeyEncoder};
+    use proptest::prelude::*;
 
     struct K(u64);
     impl CacheKey for K {
@@ -339,6 +340,45 @@ mod tests {
         // Rewrite the format-version field in place.
         entry[MAGIC.len()..MAGIC.len() + 4].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
         assert!(decode_entry(&entry, fp).is_none());
+    }
+
+    proptest! {
+        // Whatever bytes sit in an entry file, `DiskStore::load` returns
+        // `None` or the payload and never panics; it returns the payload
+        // only for the exact bytes `save` wrote. Inputs: arbitrary bytes, a
+        // real entry's header followed by arbitrary bytes (to reach the
+        // length and checksum checks), and truncations and one-byte flips of
+        // the real entry.
+        #[test]
+        fn disk_store_load_never_panics(
+            noise in prop::collection::vec(0u16..256, 0..96),
+            cut in 0usize..4096,
+            flip in (0usize..4096, 1u16..256),
+        ) {
+            let dir = tmp_dir("never-panics");
+            let store = DiskStore::open(&dir).unwrap();
+            let fp = K(7).fingerprint();
+            let payload = b"fig07_waterfall | LFU hit rate 0.83 | gain 6.7x\n";
+            store.save("test", fp, payload).unwrap();
+            let real = fs::read(store.entry_path("test", fp)).unwrap();
+            let noise: Vec<u8> = noise.iter().map(|&b| b as u8).collect();
+            let header_len = real.len() - payload.len();
+            let mut flipped = real.clone();
+            flipped[flip.0 % real.len()] ^= flip.1 as u8;
+            let cases = [
+                [&real[..cut % (header_len + 1)], &noise[..]].concat(),
+                real[..cut % (real.len() + 1)].to_vec(),
+                flipped,
+                noise,
+            ];
+            for bytes in cases {
+                fs::write(store.entry_path("test", fp), &bytes).unwrap();
+                let loaded = store.load("test", fp);
+                prop_assert_eq!(loaded.is_some(), bytes == real);
+                prop_assert_eq!(loaded.as_deref(), decode_entry(&bytes, fp).as_deref());
+            }
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -237,25 +237,46 @@ impl Sampler for Exponential {
 
 /// Zipf distribution over ranks `1..=n` with exponent `s` — the skewed access
 /// pattern of embedding lookups that makes platform-level caching effective.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// [`Zipf::sample_rank`] inverts the CDF in O(1) expected time through a
+/// Chen–Asau guide table of `n.div_ceil(8)` buckets (`n/2` bytes beside the
+/// `8n`-byte CDF): the expected forward scan is at most 8 entries. It returns
+/// the same rank for the same uniform draw as a binary search of the CDF, so
+/// a seeded request stream is independent of how it is inverted.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Zipf {
     n: usize,
     s: f64,
     cdf: Vec<f64>,
+    /// `guide[j]` is the first index whose CDF value is at least `j/m`, for
+    /// `m = guide.len()` buckets.
+    guide: Vec<u32>,
 }
+
+/// CDF entries per guide-table bucket. One `u32` per eight `f64` entries
+/// keeps the table at 1/16 of the CDF: fig07's 100 000 ranks take 50 KB
+/// instead of the 400 KB a bucket per rank would, at the same speed.
+const ENTRIES_PER_BUCKET: usize = 8;
 
 impl Zipf {
     /// Creates a Zipf distribution over `1..=n` with exponent `s`.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidDistribution`] if `n == 0`, or `s` is negative
-    /// or non-finite.
+    /// Returns [`Error::InvalidDistribution`] if `n == 0` or `n > u32::MAX`
+    /// (the guide table indexes ranks as `u32`), or `s` is negative or
+    /// non-finite.
     pub fn new(n: usize, s: f64) -> Result<Zipf> {
         if n == 0 {
             return Err(Error::InvalidDistribution {
                 distribution: "zipf",
                 reason: "n must be positive",
+            });
+        }
+        if u32::try_from(n).is_err() {
+            return Err(Error::InvalidDistribution {
+                distribution: "zipf",
+                reason: "n must fit in u32",
             });
         }
         if !s.is_finite() || s < 0.0 {
@@ -274,7 +295,8 @@ impl Zipf {
         for c in &mut cdf {
             *c /= total;
         }
-        Ok(Zipf { n, s, cdf })
+        let guide = guide_table(&cdf, n.div_ceil(ENTRIES_PER_BUCKET));
+        Ok(Zipf { n, s, cdf, guide })
     }
 
     /// Number of ranks.
@@ -287,13 +309,9 @@ impl Zipf {
         self.s
     }
 
-    /// Draws a rank in `1..=n` (1 is the most popular).
+    /// Draws a rank in `1..=n` (1 is the most popular) in O(1) expected time.
     pub fn sample_rank<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
-        match self.cdf.binary_search_by(|c| c.total_cmp(&u)) {
-            Ok(i) => i + 1,
-            Err(i) => (i + 1).min(self.n),
-        }
+        guided_rank(&self.cdf, &self.guide, rng.gen())
     }
 
     /// Probability mass of rank `k` (1-based). Returns 0 outside `1..=n`.
@@ -303,6 +321,53 @@ impl Zipf {
         }
         let prev = if k == 1 { 0.0 } else { self.cdf[k - 2] };
         self.cdf[k - 1] - prev
+    }
+}
+
+/// Builds the `buckets`-entry guide table over a non-decreasing `cdf` in one
+/// forward pass: entry `j` is the first index `i` with `cdf[i] >= j/buckets`.
+fn guide_table(cdf: &[f64], buckets: usize) -> Vec<u32> {
+    let mut guide = Vec::with_capacity(buckets);
+    let mut i = 0;
+    for j in 0..buckets {
+        let edge = j as f64 / buckets as f64;
+        while cdf.get(i).is_some_and(|&c| c < edge) {
+            i += 1;
+        }
+        guide.push(i as u32);
+    }
+    guide
+}
+
+/// The rank of the uniform draw `u ∈ [0, 1)`: one more than the first index
+/// whose CDF value is at least `u`, found from `u`'s guide bucket. Equal to
+/// [`searched_rank`] for every `u`, ties included.
+fn guided_rank(cdf: &[f64], guide: &[u32], u: f64) -> usize {
+    let n = cdf.len();
+    let bucket = ((u * guide.len() as f64) as usize).min(guide.len() - 1);
+    let mut i = guide.get(bucket).map_or(0, |&g| g as usize);
+    // `u·m` can round up into the next bucket, whose start may lie past the
+    // answer: step back to the first entry of any run at or above `u`.
+    while i > 0 && cdf.get(i - 1).is_some_and(|&c| c >= u) {
+        i -= 1;
+    }
+    while cdf.get(i).is_some_and(|&c| c < u) {
+        i += 1;
+    }
+    // A draw equal to a CDF value is the one case where a binary search may
+    // land anywhere in a run of equal values; on that rare draw, search.
+    if cdf.get(i) == Some(&u) {
+        return searched_rank(cdf, u);
+    }
+    (i + 1).min(n)
+}
+
+/// The rank of `u` by binary search over `cdf`: the exact-tie fallback of
+/// [`guided_rank`] and its test oracle.
+fn searched_rank(cdf: &[f64], u: f64) -> usize {
+    match cdf.binary_search_by(|c| c.total_cmp(&u)) {
+        Ok(i) => i + 1,
+        Err(i) => (i + 1).min(cdf.len()),
     }
 }
 
@@ -601,6 +666,7 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -684,6 +750,108 @@ mod tests {
         assert_eq!(d.pmf(0), 0.0);
         assert_eq!(d.pmf(51), 0.0);
         assert!(d.pmf(1) > d.pmf(2));
+    }
+
+    #[test]
+    fn zipf_rejects_n_beyond_the_guide_tables_u32_indices() {
+        if let Ok(n) = usize::try_from(u64::from(u32::MAX) + 1) {
+            assert!(matches!(
+                Zipf::new(n, 1.0),
+                Err(Error::InvalidDistribution { .. })
+            ));
+        }
+    }
+
+    /// Distinct uniform draws where a guide walk can go wrong: `0`,
+    /// `1 − 2⁻⁵³`, every bucket edge `j/m`, about `values` evenly spaced CDF
+    /// values, and the float neighbours of all of them.
+    fn edge_draws(cdf: &[f64], buckets: usize, values: usize) -> Vec<f64> {
+        let mut draws = vec![0.0, 1.0 - f64::EPSILON / 2.0];
+        let edges = (0..=buckets).map(|j| j as f64 / buckets as f64);
+        let values = cdf.iter().copied().step_by(cdf.len().div_ceil(values));
+        for x in edges.chain(values) {
+            draws.extend([x.next_down(), x, x.next_up()]);
+        }
+        draws.retain(|u| (0.0..1.0).contains(u));
+        draws.sort_by(f64::total_cmp);
+        draws.dedup();
+        draws
+    }
+
+    /// Checks the guide table against its definition and the guided walk
+    /// against the binary search on every draw.
+    fn assert_guided_equals_searched(cdf: &[f64], guide: &[u32], draws: &[f64]) {
+        let m = guide.len();
+        for (j, &g) in guide.iter().enumerate() {
+            let edge = j as f64 / m as f64;
+            let first = cdf.partition_point(|&c| c < edge);
+            assert_eq!(g as usize, first, "guide[{j}] of {m} buckets");
+        }
+        for &u in draws {
+            assert_eq!(
+                guided_rank(cdf, guide, u),
+                searched_rank(cdf, u),
+                "u = {u:e} over {} entries, {m} buckets",
+                cdf.len()
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn guide_table_inverts_like_binary_search(
+            n in 1usize..4097,
+            pick in 0usize..5,
+            s_any in 0.0f64..4.0,
+            uniform in prop::collection::vec(0.0f64..1.0, 64..65),
+        ) {
+            let s = [0.0, 1.0, 1.2, 4.0, s_any][pick];
+            let zipf = Zipf::new(n, s).unwrap();
+            prop_assert_eq!(zipf.guide.len(), n.div_ceil(ENTRIES_PER_BUCKET));
+            let mut draws = edge_draws(&zipf.cdf, zipf.guide.len(), n);
+            draws.extend(uniform);
+            assert_guided_equals_searched(&zipf.cdf, &zipf.guide, &draws);
+        }
+
+        // Zipf tables rarely put a CDF value within an ulp of a bucket edge or
+        // repeat one below 1.0, so these tables are built from edges, their
+        // neighbours and repeated values: the rounding and tie cases the walk
+        // must get right.
+        #[test]
+        fn guide_walk_matches_binary_search_on_tied_tables(
+            buckets in 1usize..64,
+            picks in prop::collection::vec((0usize..4, 0usize..64, 0.0f64..1.0, 1usize..4), 1..128),
+        ) {
+            let mut cdf: Vec<f64> = Vec::new();
+            for &(kind, j, x, repeats) in &picks {
+                let edge = (j % buckets) as f64 / buckets as f64;
+                let value = [edge.next_down(), edge, edge.next_up(), x][kind];
+                if (0.0..1.0).contains(&value) {
+                    cdf.extend(std::iter::repeat_n(value, repeats));
+                }
+            }
+            cdf.sort_by(f64::total_cmp);
+            cdf.push(1.0);
+            let guide = guide_table(&cdf, buckets);
+            let mut draws = edge_draws(&cdf, buckets, cdf.len());
+            draws.extend(picks.iter().map(|p| p.2));
+            assert_guided_equals_searched(&cdf, &guide, &draws);
+        }
+    }
+
+    // Every 200th CDF value only: a draw in a tail bucket walks up to the
+    // whole tail (92 000 entries at s = 2), so all 100 000 values would make
+    // this test slow in a debug build.
+    #[test]
+    fn guide_table_inverts_like_binary_search_at_fig07_scale() {
+        let mut r = rng();
+        for s in [0.0, 0.5, 1.0, 1.2, 2.0, 4.0] {
+            let zipf = Zipf::new(100_000, s).unwrap();
+            assert_eq!(zipf.guide.len(), 12_500);
+            let mut draws = edge_draws(&zipf.cdf, zipf.guide.len(), 500);
+            draws.extend((0..10_000).map(|_| r.gen::<f64>()));
+            assert_guided_equals_searched(&zipf.cdf, &zipf.guide, &draws);
+        }
     }
 
     #[test]

@@ -49,7 +49,8 @@ pub fn to_folded(tree: &SpanTree) -> String {
         let self_time = (node.total() - children).max(TimeSpan::ZERO);
         let micros = (self_time.as_secs() * MICROS_PER_SEC).round() as u128;
         if micros > 0 {
-            *counts.entry(stack.clone()).or_insert(0) += micros;
+            let total: &mut u128 = counts.entry(stack.clone()).or_insert(0);
+            *total = total.saturating_add(micros);
         }
         for &c in node.children.iter().rev() {
             frames.push((c, stack.clone()));
@@ -71,7 +72,7 @@ pub fn to_folded(tree: &SpanTree) -> String {
 /// # Errors
 ///
 /// Returns a message naming the first line without a trailing integer
-/// count.
+/// count, or whose count takes its stack's total past `u128::MAX`.
 pub fn parse_folded(text: &str) -> Result<BTreeMap<String, u128>, String> {
     let mut counts = BTreeMap::new();
     for (lineno, line) in text.lines().enumerate() {
@@ -84,7 +85,10 @@ pub fn parse_folded(text: &str) -> Result<BTreeMap<String, u128>, String> {
         let count: u128 = count
             .parse()
             .map_err(|_| format!("folded line {}: non-integer count `{count}`", lineno + 1))?;
-        *counts.entry(stack.to_owned()).or_insert(0) += count;
+        let total: &mut u128 = counts.entry(stack.to_owned()).or_insert(0);
+        *total = total
+            .checked_add(count)
+            .ok_or_else(|| format!("folded line {}: stack count overflows u128", lineno + 1))?;
     }
     Ok(counts)
 }
